@@ -3,6 +3,7 @@ package bridge
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"alchemist/internal/ckks"
@@ -24,9 +25,15 @@ var cached *harness
 
 func setup(t testing.TB) *harness {
 	t.Helper()
-	if cached != nil {
-		return cached
+	if cached == nil {
+		cached = newHarness(t)
 	}
+	return cached
+}
+
+// newHarness builds a bridge and its CKKS/TFHE schemes from fixed seeds.
+func newHarness(t testing.TB) *harness {
+	t.Helper()
 	// CKKS: N=2^9, scale 2^42 over 45-bit q0 → bridged phases = value/8.
 	params, err := ckks.GenParams(9, 3, 2, 2, 45, 42, 45)
 	if err != nil {
@@ -47,7 +54,7 @@ func setup(t testing.TB) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached = &harness{
+	return &harness{
 		ctx: ctx,
 		enc: ckks.NewEncoder(ctx),
 		kg:  kg,
@@ -57,7 +64,6 @@ func setup(t testing.TB) *harness {
 		tf:  tf,
 		br:  br,
 	}
-	return cached
 }
 
 func (h *harness) encrypt(t testing.TB, z []complex128) *ckks.Ciphertext {
@@ -207,5 +213,31 @@ func TestToLWEValidation(t *testing.T) {
 	ct := h.encrypt(t, z)
 	if _, err := h.br.ToLWE(ct, h.ctx.Params.Slots()+1); err == nil {
 		t.Fatal("expected slot-count error")
+	}
+}
+
+// TestSameSeedBridgesAgree builds two bridges from the same seeds and checks
+// that they convert the same input to identical LWE samples: the bridge's
+// rotation keys are drawn in a fixed order, so a seed fixes its outcomes.
+func TestSameSeedBridgesAgree(t *testing.T) {
+	h1, h2 := newHarness(t), newHarness(t)
+	z := make([]complex128, h1.ctx.Params.Slots())
+	rng := rand.New(rand.NewSource(77))
+	for i := range z {
+		z[i] = complex(rng.Float64()*2-1, 0)
+	}
+	const count = 4
+	l1, err := h1.br.ToLWE(h1.encrypt(t, z), count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := h2.br.ToLWE(h2.encrypt(t, z), count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < count; j++ {
+		if l1[j].B != l2[j].B || !slices.Equal(l1[j].A, l2[j].A) {
+			t.Fatalf("sample %d differs between two bridges built from the same seeds", j)
+		}
 	}
 }

@@ -128,3 +128,43 @@ func TestRotateHoistedAllocFree(t *testing.T) {
 		t.Errorf("warm RotateHoistedInto+Recycle allocates %.1f per op, want 0", n)
 	}
 }
+
+// TestLinearTransformAllocFree pins the steady state of the double-hoisted
+// linear transform: once the diagonal cache is filled, the decomposition,
+// the Q ∪ P accumulators, the closing ModDown and the rescale all run from
+// the pools.
+func TestLinearTransformAllocFree(t *testing.T) {
+	ctx, err := NewContext(TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := ctx.Params.Slots()
+	lt, err := NewLinearTransformFromMatrix(randomMatrix(16, 32, 3), slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := NewKeyGenerator(ctx, 1)
+	sk := kg.GenSecretKey()
+	enc := NewEncoder(ctx)
+	ev := NewEvaluator(ctx, kg.GenEvaluationKeySet(sk, lt.Rotations(), false))
+	level := ctx.Params.MaxLevel()
+	pt, err := enc.Encode(randomSlots(32, 4, 1), level, ctx.Params.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := NewEncryptor(ctx, kg.GenPublicKey(sk), 2).Encrypt(pt, level, ctx.Params.Scale)
+	warm, err := ev.EvalLinearTransform(ct, lt, enc) // fills the diagonal cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Recycle(warm)
+	if n := testing.AllocsPerRun(10, func() {
+		out, err := ev.EvalLinearTransform(ct, lt, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Recycle(out)
+	}); n != 0 {
+		t.Errorf("warm EvalLinearTransform+Recycle allocates %.1f per op, want 0", n)
+	}
+}

@@ -62,3 +62,40 @@ func BenchmarkRotateHoisted8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLinearTransform evaluates LoLa's first dense layer (a 16×32
+// matrix, 47 diagonals) on the N=2^11 test parameters at the top level,
+// with the diagonal cache warm.
+func BenchmarkLinearTransform(b *testing.B) {
+	ctx, err := NewContext(TestParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	lt, err := NewLinearTransformFromMatrix(randomMatrix(16, 32, 62), ctx.Params.Slots())
+	if err != nil {
+		b.Fatal(err)
+	}
+	kg := NewKeyGenerator(ctx, 1)
+	sk := kg.GenSecretKey()
+	enc := NewEncoder(ctx)
+	ev := NewEvaluator(ctx, kg.GenEvaluationKeySet(sk, lt.Rotations(), false))
+	level := ctx.Params.MaxLevel()
+	pt, err := enc.Encode(randomSlots(32, 4, 1), level, ctx.Params.Scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct := NewEncryptor(ctx, kg.GenPublicKey(sk), 2).Encrypt(pt, level, ctx.Params.Scale)
+	warm, err := ev.EvalLinearTransform(ct, lt, enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx.Recycle(warm)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := ev.EvalLinearTransform(ct, lt, enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx.Recycle(out)
+	}
+}

@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"alchemist/internal/ring"
 )
@@ -78,6 +79,8 @@ func NewBootstrapper(ctx *Context, kg *KeyGenerator, sk *SecretKey, bp Bootstrap
 	for r := range rotSet {
 		rots = append(rots, r)
 	}
+	// Keys are drawn in rots order: sort it so one seed fixes the key set.
+	sort.Ints(rots)
 	eks := kg.GenEvaluationKeySet(sk, rots, true)
 
 	bt := &Bootstrapper{

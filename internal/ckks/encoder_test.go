@@ -2,9 +2,13 @@ package ckks
 
 import (
 	"math"
+	"math/big"
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"alchemist/internal/modmath"
+	"alchemist/internal/ring"
 )
 
 func smallContext(t testing.TB, logN int) *Context {
@@ -197,4 +201,65 @@ func TestEncodeLargeAmplitudePrecision(t *testing.T) {
 		t.Fatalf("large-amplitude round trip error %v", e)
 	}
 	_ = math.Pi
+}
+
+// centeredCoeffOracle is the per-coefficient reference decode: a fresh
+// modmath.CRTReconstruct per coefficient, centered, converted through
+// big.Float.
+func centeredCoeffOracle(ctx *Context, p *ring.Poly, j, level int) float64 {
+	if level == 0 {
+		return float64(ring.SignedCoeff(p.Coeffs[0][j], ctx.RQ.Moduli[0]))
+	}
+	res := make([]uint64, level+1)
+	for i := range res {
+		res[i] = p.Coeffs[i][j]
+	}
+	x := modmath.CRTReconstruct(res, ctx.RQ.Moduli[:level+1])
+	q := ctx.RQ.Modulus(level)
+	if x.Cmp(new(big.Int).Rsh(q, 1)) > 0 {
+		x.Sub(x, q)
+	}
+	f, _ := new(big.Float).SetInt(x).Float64()
+	return f
+}
+
+// TestCenteredCoeffMatchesCRTOracle pins the precomputed-constant decode bit
+// for bit against the reference CRT path at every level: on encoded
+// plaintexts (the int64 fast path), on uniform residues (wide integers, the
+// big.Float path) and on the centering boundaries 0, ⌊Q/2⌋, ⌊Q/2⌋+1, Q-1.
+func TestCenteredCoeffMatchesCRTOracle(t *testing.T) {
+	ctx := smallContext(t, 6)
+	enc := NewEncoder(ctx)
+	kg := NewKeyGenerator(ctx, 41)
+	n := ctx.Params.N()
+	for level := 0; level <= ctx.Params.MaxLevel(); level++ {
+		encoded, err := enc.Encode(randomSlots(ctx.Params.Slots(), 42, 3.0), level, ctx.Params.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := ctx.RQ.NewPoly(level)
+		q := ctx.RQ.Modulus(level)
+		half := new(big.Int).Rsh(q, 1)
+		one := big.NewInt(1)
+		vals := []*big.Int{new(big.Int), half, new(big.Int).Add(half, one), new(big.Int).Sub(q, one)}
+		for j := 0; j < n; j++ {
+			v := vals[j%len(vals)]
+			for i := 0; i <= level; i++ {
+				edges.Coeffs[i][j] = new(big.Int).Mod(v, new(big.Int).SetUint64(ctx.RQ.Moduli[i])).Uint64()
+			}
+		}
+		var s crtScratch
+		for name, p := range map[string]*ring.Poly{
+			"encoded": encoded,
+			"uniform": kg.uniformPoly(ctx.RQ, level),
+			"edges":   edges,
+		} {
+			for j := 0; j < n; j++ {
+				got, want := enc.centeredCoeff(p, j, level, &s), centeredCoeffOracle(ctx, p, j, level)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("level %d %s coeff %d: got %v want %v", level, name, j, got, want)
+				}
+			}
+		}
+	}
 }

@@ -275,13 +275,19 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128, enc *Encoder) (*Ciph
 // Rescale divides the ciphertext by its last modulus, dropping one level
 // (the CKKS modulus-switching that keeps the scale stable).
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
-	if ct.Level == 0 {
+	return ev.rescale(ct.Level, ct.B, ct.A, ct.Scale)
+}
+
+// rescale is Rescale on the bare halves (b, a) of a ciphertext at the given
+// level and scale; the inputs are left untouched.
+func (ev *Evaluator) rescale(level int, b, a *ring.Poly, scale float64) (*Ciphertext, error) {
+	if level == 0 {
 		return nil, fmt.Errorf("ckks: no level left to rescale")
 	}
 	ctx := ev.ctx
-	out := ctx.borrowCt(ct.Level-1, ct.Scale/float64(ctx.Params.Q[ct.Level]))
-	ctx.Ext.RescaleByLastModulus(ct.Level, ct.B, out.B)
-	ctx.Ext.RescaleByLastModulus(ct.Level, ct.A, out.A)
+	out := ctx.borrowCt(level-1, scale/float64(ctx.Params.Q[level]))
+	ctx.Ext.RescaleByLastModulus(level, b, out.B)
+	ctx.Ext.RescaleByLastModulus(level, a, out.A)
 	return out, nil //alchemist:owns the rescaled ciphertext is the caller's to Recycle
 }
 

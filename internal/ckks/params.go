@@ -170,6 +170,11 @@ type Context struct {
 	// runs on (same tables as groupToQ/groupToP, shared step-1 scaling).
 	Dec *ring.Decomposer
 
+	// pModQ[i] = P mod q_i: lifts a Q-only term into a Q ∪ P keyswitch
+	// accumulator as P·x, which the closing ModDown returns exactly
+	// (linalg.go).
+	pModQ []uint64
+
 	// ctPool recycles Ciphertext wrappers (the polynomials themselves go
 	// through the ring arenas); see Recycle in evaluator.go. decPool does
 	// the same for Decomposition shells (hoisted.go).
@@ -220,6 +225,15 @@ func NewContext(params Parameters) (*Context, error) {
 		duals[g] = dc
 	}
 	ctx.Dec = ring.NewDecomposer(alpha, duals)
+	ctx.pModQ = make([]uint64, len(params.Q))
+	for i, qi := range params.Q {
+		sub := rq.SubRings[i]
+		acc := uint64(1)
+		for _, pj := range params.P {
+			acc = modmath.MulMod(acc, sub.ReduceWord(pj), qi)
+		}
+		ctx.pModQ[i] = acc
+	}
 	return ctx, nil
 }
 

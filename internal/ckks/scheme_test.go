@@ -240,8 +240,9 @@ func TestKeySwitchContract(t *testing.T) {
 	diff := ctx.RQ.NewPoly(level)
 	ctx.RQ.Sub(level, got, want, diff)
 	enc := h.enc
+	var s crtScratch
 	for j := 0; j < ctx.Params.N(); j++ {
-		d := enc.centeredCoeff(diff, j, level)
+		d := enc.centeredCoeff(diff, j, level, &s)
 		if d > 1e9 || d < -1e9 { // |noise| ≪ q0·…·qL (≈2^255); 2^30 bound
 			t.Fatalf("key switch noise too large at %d: %g", j, d)
 		}

@@ -386,3 +386,48 @@ func FuzzReduceAcc128Headroom(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMulCoeffsShoupAndAdd pins the fixed-operand Shoup multiply-accumulate
+// byte-identical to the Barrett MulCoeffsAndAdd over arbitrary moduli up to
+// the 2^62 bound and operands biased to the edges of [0, q) — the serial
+// form here, the limb-parallel dispatch through FuzzParallelVsSerialKernels.
+func FuzzMulCoeffsShoupAndAdd(f *testing.F) {
+	f.Add((uint64(1)<<62)-57, uint64(1))
+	f.Add(uint64(2305843009213693951), uint64(0x9e3779b97f4a7c15))
+	f.Add(uint64(12289), uint64(7))
+	f.Add(uint64(3), uint64(0))
+	f.Fuzz(func(t *testing.T, qSeed, seed uint64) {
+		q := qSeed%((1<<62)-3) + 3
+		s := &SubRing{Q: q, barrett: modmath.NewBarrett(q)}
+		const n = 64
+		a, w, ws := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		want, got := make([]uint64, n), make([]uint64, n)
+		x := seed | 1
+		next := func() uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x
+		}
+		// Alternate uniform residues with the top and bottom of [0, q).
+		val := func(j int) uint64 {
+			switch j % 4 {
+			case 0:
+				return q - 1 - next()%min(q, 3)
+			case 1:
+				return next() % min(q, 3)
+			}
+			return next() % q
+		}
+		for j := 0; j < n; j++ {
+			a[j], w[j], want[j] = val(j), val(j+1), val(j+2)
+		}
+		copy(got, want)
+		s.ShoupCompanion(w, ws)
+		s.MulCoeffsAndAdd(a, w, want)
+		s.MulCoeffsShoupAndAdd(a, w, ws, got)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("q=%d coeff %d: a=%d w=%d: Shoup %d != Barrett %d", q, j, a[j], w[j], got[j], want[j])
+			}
+		}
+	})
+}

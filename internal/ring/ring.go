@@ -254,6 +254,33 @@ func (r *Ring) MulCoeffsAndAdd(level int, a, b, out *Poly) {
 	}
 }
 
+// MulCoeffsShoupAndAdd sets out += a ⊙ w (pointwise, NTT domain) at levels
+// 0..level for a fixed operand w with Shoup companion wShoup (ShoupCompanion).
+// Byte-identical to MulCoeffsAndAdd(level, a, w, out); the precomputed
+// companion makes each product one lazy Shoup multiply instead of a Barrett
+// reduction, the win for operands reused across many calls (cached
+// plaintexts such as linear-transform diagonals).
+func (r *Ring) MulCoeffsShoupAndAdd(level int, a, w, wShoup, out *Poly) {
+	if parts := r.elemParWidth(level + 1); parts > 1 {
+		j := r.getJob()
+		j.op, j.a, j.b, j.bs, j.out, j.tasks = opMulAddShoup, a, w, wShoup, out, level+1
+		r.runParallel(j, parts)
+		return
+	}
+	for i := 0; i <= level; i++ {
+		r.SubRings[i].MulCoeffsShoupAndAdd(a.Coeffs[i], w.Coeffs[i], wShoup.Coeffs[i], out.Coeffs[i])
+	}
+}
+
+// ShoupCompanion sets out to the Shoup precomputation of w at levels
+// 0..level, the fixed-operand companion MulCoeffsShoupAndAdd takes. Setup
+// path: one division per coefficient.
+func (r *Ring) ShoupCompanion(level int, w, out *Poly) {
+	for i := 0; i <= level; i++ {
+		r.SubRings[i].ShoupCompanion(w.Coeffs[i], out.Coeffs[i])
+	}
+}
+
 // MulScalar sets out = c·a at levels 0..level, c given as a uint64 applied in
 // every RNS channel.
 func (r *Ring) MulScalar(level int, a *Poly, c uint64, out *Poly) {

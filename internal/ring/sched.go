@@ -56,6 +56,7 @@ const (
 	opNeg
 	opMul
 	opMulAdd
+	opMulAddShoup
 	opMulScalar
 	opAutoNTT
 	opModDown
@@ -84,6 +85,7 @@ type schedJob struct {
 	bc         *BasisConverter // opConvert
 	dc         *DualConverter  // opConvertBoth
 	a, b, out  *Poly           // poly operands (a=src, b=second src / conv)
+	bs         *Poly           // opMulAddShoup: Shoup companion of b
 	fn         func(i int)     // opFn
 	in, o1, o2 [][]uint64      // conversion channel slices (src, dstQ, dstP)
 	srcLevel   int             // conversion source level
@@ -106,7 +108,7 @@ type schedJob struct {
 // key material across calls.
 func (j *schedJob) clear() {
 	j.r, j.ext, j.bc, j.dc = nil, nil, nil, nil
-	j.a, j.b, j.out, j.fn = nil, nil, nil, nil
+	j.a, j.b, j.bs, j.out, j.fn = nil, nil, nil, nil, nil
 	j.in, j.o1, j.o2, j.pi = nil, nil, nil, nil
 	j.dp, j.kb, j.ka = nil, nil, nil
 }
@@ -168,6 +170,10 @@ func (j *schedJob) runPart(w int) {
 	case opMulAdd:
 		for i := lo; i < hi; i++ {
 			j.r.SubRings[i].MulCoeffsAndAdd(j.a.Coeffs[i], j.b.Coeffs[i], j.out.Coeffs[i])
+		}
+	case opMulAddShoup:
+		for i := lo; i < hi; i++ {
+			j.r.SubRings[i].MulCoeffsShoupAndAdd(j.a.Coeffs[i], j.b.Coeffs[i], j.bs.Coeffs[i], j.out.Coeffs[i])
 		}
 	case opMulScalar:
 		for i := lo; i < hi; i++ {

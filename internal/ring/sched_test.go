@@ -97,6 +97,11 @@ func (f *schedFixture) runKernelSuite(seed int64) map[string][][]uint64 {
 	acc := r.Clone(level, b)
 	r.MulCoeffsAndAdd(level, a, b, acc)
 	snap("muladd", acc, level)
+	ws := r.NewPoly(level)
+	r.ShoupCompanion(level, b, ws)
+	accS := r.Clone(level, b)
+	r.MulCoeffsShoupAndAdd(level, a, b, ws, accS)
+	snap("muladdshoup", accS, level)
 	r.MulScalar(level, a, 0x1234567, out)
 	snap("mulscalar", out, level)
 
@@ -198,7 +203,8 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 }
 
 // FuzzParallelVsSerialKernels fuzzes operand contents and an arbitrary
-// worker count against the serial oracle: NTT, elementwise, Bconv (ModUp /
+// worker count against the serial oracle: NTT, elementwise (including the
+// Shoup multiply-accumulate), Bconv (ModUp /
 // dual conversion), KSAccumulate, ModDown and rescale must be byte-identical
 // at worker counts 1/2/3/8 and at the fuzzed count.
 func FuzzParallelVsSerialKernels(f *testing.F) {

@@ -197,6 +197,33 @@ func (s *SubRing) MulCoeffsAndAdd(a, b, out []uint64) {
 	}
 }
 
+// MulCoeffsShoupAndAdd sets out = out + a ⊙ w pointwise mod q for a fixed
+// operand w whose Shoup companions wShoup[i] = ShoupPrecomp(w[i], q) were
+// computed once (ShoupCompanion). The lazy Shoup product replaces the
+// Barrett reduction of MulCoeffsAndAdd with one high multiply, and the
+// conditional subtraction brings it back to [0, q), so the output is
+// byte-identical to MulCoeffsAndAdd(a, w, out).
+//
+//alchemist:domain wShoup:any
+func (s *SubRing) MulCoeffsShoupAndAdd(a, w, wShoup, out []uint64) {
+	q := s.Q
+	n := len(out)
+	a, w, wShoup = a[:n], w[:n], wShoup[:n]
+	for i := range out {
+		out[i] = modmath.AddMod(out[i], condSub(modmath.MulModShoupLazy(a[i], w[i], wShoup[i], q), q), q)
+	}
+}
+
+// ShoupCompanion sets out[i] = ShoupPrecomp(w[i], q): the precomputation
+// that lets MulCoeffsShoupAndAdd multiply by the fixed operand w.
+//
+//alchemist:domain out:any
+func (s *SubRing) ShoupCompanion(w, out []uint64) {
+	for i := range out {
+		out[i] = modmath.ShoupPrecomp(w[i], s.Q)
+	}
+}
+
 // Add sets out = a + b pointwise mod q.
 func (s *SubRing) Add(a, b, out []uint64) {
 	q := s.Q
