@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,8 +28,8 @@ func runBench(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
 		jsonOut    = fs.Bool("json", false, "write the capture as JSON (see -out)")
-		out        = fs.String("out", "BENCH_PR5.json", "JSON output path with -json (- for stdout)")
-		label      = fs.String("label", "", "capture label stored in the JSON (default: output filename)")
+		out        = fs.String("out", "-", "JSON output path with -json (- for stdout)")
+		label      = fs.String("label", "", "capture label stored in the JSON (default: output filename, or \"live\" on stdout)")
 		quick      = fs.Bool("quick", false, "reduced parameter set (CI smoke)")
 		workers    = fs.String("workers", "0", "comma list of ring worker counts (0 = NumCPU); >1 entry emits a scaling capture")
 		best       = fs.Int("best", 1, "run each kernel this many times, keep the fastest pass (tracked captures use 3-6)")
@@ -44,6 +45,12 @@ func runBench(args []string) {
 	}
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
+	}
+	// With the JSON capture on stdout, the human-readable lines go to
+	// stderr so the capture stays parseable.
+	text := io.Writer(os.Stdout)
+	if *jsonOut && *out == "-" {
+		text = os.Stderr
 	}
 	var suite *bench.ScalingSuite
 	if *capture != "" {
@@ -66,9 +73,12 @@ func runBench(args []string) {
 		}
 		if cfg.Label == "" {
 			cfg.Label = *out
+			if *out == "-" {
+				cfg.Label = "live"
+			}
 		}
 		if !*quiet {
-			cfg.Progress = func(line string) { fmt.Println(line) }
+			cfg.Progress = func(line string) { fmt.Fprintln(text, line) }
 		}
 		if len(counts) == 1 {
 			// Single count: measure and store the plain v1 shape so the
@@ -86,7 +96,7 @@ func runBench(args []string) {
 					os.Exit(1)
 				}
 				if *out != "-" {
-					fmt.Printf("bench      wrote %d results to %s\n", len(s.Results), *out)
+					fmt.Fprintf(text, "bench      wrote %d results to %s\n", len(s.Results), *out)
 				}
 			}
 		} else {
@@ -95,7 +105,7 @@ func runBench(args []string) {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			fmt.Print(suite.ScalingReport().String())
+			fmt.Fprint(text, suite.ScalingReport().String())
 			if *jsonOut {
 				if err := suite.WriteJSON(*out); err != nil {
 					fmt.Fprintln(os.Stderr, err)
@@ -106,7 +116,7 @@ func runBench(args []string) {
 					for _, s := range suite.Subs {
 						n += len(s.Results)
 					}
-					fmt.Printf("bench      wrote %d results (%d worker counts) to %s\n", n, len(suite.Subs), *out)
+					fmt.Fprintf(text, "bench      wrote %d results (%d worker counts) to %s\n", n, len(suite.Subs), *out)
 				}
 			}
 		}
@@ -116,7 +126,7 @@ func runBench(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("bench      scaling ok: partitioned kernels at or above %.0f%% efficiency\n", *scaleFloor*100)
+		fmt.Fprintf(text, "bench      scaling ok: partitioned kernels at or above %.0f%% efficiency\n", *scaleFloor*100)
 	}
 	if *baseline != "" {
 		base, err := bench.ReadCapture(*baseline)
@@ -131,7 +141,7 @@ func runBench(args []string) {
 		}
 		var regs []bench.Regression
 		for _, p := range pairs {
-			fmt.Print(p.New.Compare(p.Base).String())
+			fmt.Fprint(text, p.New.Compare(p.Base).String())
 			if *gate > 0 {
 				regs = append(regs, p.New.Regressions(p.Base, *gate)...)
 			}
@@ -144,7 +154,7 @@ func runBench(args []string) {
 				}
 				os.Exit(1)
 			}
-			fmt.Printf("bench      gate ok: no kernel regressed more than %.0f%% vs %s\n", *gate, *baseline)
+			fmt.Fprintf(text, "bench      gate ok: no kernel regressed more than %.0f%% vs %s\n", *gate, *baseline)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/ring"
 )
 
@@ -54,7 +55,7 @@ type Bootstrapper struct {
 // (rotations for both dense transforms, conjugation, relinearization).
 func NewBootstrapper(ctx *Context, kg *KeyGenerator, sk *SecretKey, bp BootstrapParams) (*Bootstrapper, error) {
 	if bp.SineDegree < 7 || bp.SineDegree%2 == 0 {
-		return nil, fmt.Errorf("ckks: sine degree %d must be odd and ≥ 7", bp.SineDegree)
+		return nil, fmt.Errorf("ckks: sine degree %d must be odd and ≥ 7: %w", bp.SineDegree, errs.ErrBadConfig)
 	}
 	enc := NewEncoder(ctx)
 	n := ctx.Params.Slots()
@@ -318,7 +319,7 @@ func (ev *Evaluator) EvalChebyshev(u *Ciphertext, coeffs []float64, enc *Encoder
 		}
 	}
 	if acc == nil {
-		return nil, fmt.Errorf("ckks: Chebyshev series has no non-constant terms")
+		return nil, fmt.Errorf("ckks: Chebyshev series has no non-constant terms: %w", errs.ErrBadConfig)
 	}
 	if coeffs[0] != 0 {
 		pt, err := ev.constPlain(complex(coeffs[0], 0), acc.Level, acc.Scale, enc)
@@ -360,7 +361,7 @@ func (bt *Bootstrapper) modRaise(ct *Ciphertext, target int) *Ciphertext {
 // h-sparse secret with h + 2 ≤ bp.K.
 func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level != 0 {
-		return nil, fmt.Errorf("ckks: bootstrap input must be at level 0, got %d", ct.Level)
+		return nil, fmt.Errorf("ckks: bootstrap input must be at level 0, got %d: %w", ct.Level, errs.ErrBadConfig)
 	}
 	ctx := bt.ctx
 	ev := bt.ev

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/cmplx"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/modmath"
 	"alchemist/internal/ring"
 )
@@ -111,7 +112,7 @@ func (e *Encoder) encodeQP(values []complex128, level int, scale float64) (pq, p
 // is imag(w[j]), before scaling.
 func (e *Encoder) embed(values []complex128) ([]complex128, error) {
 	if len(values) > e.n {
-		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), e.n)
+		return nil, fmt.Errorf("ckks: %d values exceed %d slots: %w", len(values), e.n, errs.ErrBadConfig)
 	}
 	w := make([]complex128, e.n)
 	copy(w, values)

@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/prng"
 	"alchemist/internal/ring"
 )
@@ -165,7 +166,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 func sameScale(a, b *Ciphertext) error {
 	ratio := a.Scale / b.Scale
 	if ratio < 0.999999 || ratio > 1.000001 {
-		return fmt.Errorf("ckks: scale mismatch %g vs %g", a.Scale, b.Scale)
+		return fmt.Errorf("ckks: scale mismatch %g vs %g: %w", a.Scale, b.Scale, errs.ErrBadConfig)
 	}
 	return nil
 }
@@ -197,7 +198,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *ring.Poly, ptScale float64) *C
 // rescaling).
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if ev.eks == nil || ev.eks.Rlk == nil {
-		return nil, fmt.Errorf("ckks: relinearization key missing")
+		return nil, fmt.Errorf("ckks: relinearization key missing: %w", errs.ErrBadConfig)
 	}
 	ctx := ev.ctx
 	level := ev.alignLevels(a, b)
@@ -246,7 +247,7 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 // scale untouched.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level > ct.Level || level < 0 {
-		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level, level)
+		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d: %w", ct.Level, level, errs.ErrBadConfig)
 	}
 	out := &Ciphertext{
 		B:     ev.ctx.RQ.Clone(level, ct.B),
@@ -282,7 +283,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 // level and scale; the inputs are left untouched.
 func (ev *Evaluator) rescale(level int, b, a *ring.Poly, scale float64) (*Ciphertext, error) {
 	if level == 0 {
-		return nil, fmt.Errorf("ckks: no level left to rescale")
+		return nil, fmt.Errorf("ckks: no level left to rescale: %w", errs.ErrBadConfig)
 	}
 	ctx := ev.ctx
 	out := ctx.borrowCt(level-1, scale/float64(ctx.Params.Q[level]))
@@ -295,11 +296,11 @@ func (ev *Evaluator) rescale(level int, b, a *ring.Poly, scale float64) (*Cipher
 func (ev *Evaluator) Rotate(ct *Ciphertext, r int) (*Ciphertext, error) {
 	k := ev.ctx.RQ.GaloisElementForRotation(r)
 	if ev.eks == nil {
-		return nil, fmt.Errorf("ckks: rotation key for step %d missing", r)
+		return nil, fmt.Errorf("ckks: rotation key for step %d missing: %w", r, errs.ErrBadConfig)
 	}
 	key, ok := ev.eks.Rot[k]
 	if !ok {
-		return nil, fmt.Errorf("ckks: rotation key for step %d missing", r)
+		return nil, fmt.Errorf("ckks: rotation key for step %d missing: %w", r, errs.ErrBadConfig)
 	}
 	return ev.applyGalois(ct, k, key)
 }
@@ -307,7 +308,7 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, r int) (*Ciphertext, error) {
 // Conjugate applies complex conjugation to the slots.
 func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 	if ev.eks == nil || ev.eks.Conj == nil {
-		return nil, fmt.Errorf("ckks: conjugation key missing")
+		return nil, fmt.Errorf("ckks: conjugation key missing: %w", errs.ErrBadConfig)
 	}
 	return ev.applyGalois(ct, ev.ctx.RQ.GaloisElementConjugate(), ev.eks.Conj)
 }

@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/ring"
 )
 
@@ -181,10 +182,10 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, outs []*Ciph
 // multiple batches. Safe for concurrent use with a shared read-only d.
 func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, d *Decomposition, steps []int, outs []*Ciphertext) error {
 	if ev.eks == nil {
-		return fmt.Errorf("ckks: rotation keys missing")
+		return fmt.Errorf("ckks: rotation keys missing: %w", errs.ErrBadConfig)
 	}
 	if len(outs) != len(steps) {
-		return fmt.Errorf("ckks: %d outputs for %d steps", len(outs), len(steps))
+		return fmt.Errorf("ckks: %d outputs for %d steps: %w", len(outs), len(steps), errs.ErrBadConfig)
 	}
 	ctx := ev.ctx
 	rq := ctx.RQ
@@ -196,7 +197,7 @@ func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, d *Decomposition, steps [
 	// and the steady state stays allocation-free.)
 	for _, step := range steps {
 		if _, ok := ev.eks.Rot[rq.GaloisElementForRotation(step)]; !ok {
-			return fmt.Errorf("ckks: rotation key for step %d missing", step)
+			return fmt.Errorf("ckks: rotation key for step %d missing: %w", step, errs.ErrBadConfig)
 		}
 	}
 

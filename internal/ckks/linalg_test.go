@@ -10,10 +10,12 @@ import (
 )
 
 // evalLinearTransformOracle is the per-diagonal reference evaluation the
-// double-hoisted EvalLinearTransform replaced: each diagonal is encoded on
-// the spot, each rotation is materialized (hoisted rotations over one shared
-// decomposition), multiplied in with MulPlain and summed, then the sum is
-// rescaled. Terms are added in ascending step order.
+// baby-step/giant-step EvalLinearTransform replaced: each diagonal is
+// encoded on the spot, each rotation by a diagonal's own step is
+// materialized (hoisted rotations over one shared decomposition),
+// multiplied in with MulPlain and summed, then the sum is rescaled. Terms
+// are added in ascending step order. The evaluator needs the keys of
+// oracleSteps(lt), not of lt.Rotations().
 func evalLinearTransformOracle(ev *Evaluator, ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
 	scale := ev.ctx.Params.Scale
 	var acc *Ciphertext
@@ -35,7 +37,7 @@ func evalLinearTransformOracle(ev *Evaluator, ct *Ciphertext, lt *LinearTransfor
 			return nil, err
 		}
 	}
-	steps := lt.Rotations()
+	steps := oracleSteps(lt)
 	if len(steps) > 0 {
 		rotated := make([]*Ciphertext, len(steps))
 		if err := ev.RotateHoistedInto(ct, steps, rotated); err != nil {
@@ -48,6 +50,27 @@ func evalLinearTransformOracle(ev *Evaluator, ct *Ciphertext, lt *LinearTransfor
 		}
 	}
 	return ev.Rescale(acc)
+}
+
+// oracleSteps returns the transform's non-zero diagonals in ascending
+// order: the rotations the per-diagonal oracle performs.
+func oracleSteps(lt *LinearTransform) []int {
+	var steps []int
+	for d := range lt.Diags {
+		if d != 0 {
+			steps = append(steps, d)
+		}
+	}
+	sort.Ints(steps)
+	return steps
+}
+
+// ltAndOracleKeys returns the rotation steps both evaluations need: the
+// transform's baby and giant steps and the oracle's per-diagonal steps.
+func ltAndOracleKeys(lt *LinearTransform) []int {
+	steps := append(lt.Rotations(), oracleSteps(lt)...)
+	sort.Ints(steps)
+	return steps
 }
 
 // matVec returns m·x over the first len(m) slots.
@@ -143,7 +166,7 @@ func TestDoubleHoistedMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc := NewEncoder(c.ctx)
-			eks := c.kg.GenEvaluationKeySet(c.sk, lt.Rotations(), false)
+			eks := c.kg.GenEvaluationKeySet(c.sk, ltAndOracleKeys(lt), false)
 			ev := NewEvaluator(c.ctx, eks)
 			et := NewEncryptor(c.ctx, c.kg.GenPublicKey(c.sk), 65)
 			dt := NewDecryptor(c.ctx, c.sk)
@@ -224,16 +247,26 @@ func TestLinearTransformConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestRotationsSorted pins the ascending step order key generation relies
-// on for seed-reproducible keys.
+// TestRotationsSorted pins the strictly ascending step order key generation
+// relies on for seed-reproducible keys, and that at both LoLa shapes (on
+// the N=2^11 test parameters' 1024 slots) the baby-step/giant-step split
+// needs fewer rotation keys than the transform has rotated diagonals.
 func TestRotationsSorted(t *testing.T) {
-	lt, err := NewLinearTransformFromMatrix(randomMatrix(16, 32, 69), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rots := lt.Rotations()
-	if len(rots) != len(lt.Diags)-1 || !sort.IntsAreSorted(rots) {
-		t.Fatalf("Rotations() = %v: want the %d non-zero steps in ascending order", rots, len(lt.Diags)-1)
+	for _, shape := range [][2]int{{16, 32}, {10, 16}} {
+		lt, err := NewLinearTransformFromMatrix(randomMatrix(shape[0], shape[1], 69), 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rots := lt.Rotations()
+		for i := 1; i < len(rots); i++ {
+			if rots[i] <= rots[i-1] {
+				t.Fatalf("%dx%d: Rotations() = %v is not strictly ascending", shape[0], shape[1], rots)
+			}
+		}
+		if rotated := len(lt.Diags) - 1; len(rots) >= rotated {
+			t.Fatalf("%dx%d: %d BSGS steps for %d rotated diagonals, want fewer", shape[0], shape[1], len(rots), rotated)
+		}
+		t.Logf("%dx%d: %d rotated diagonals, %d BSGS steps %v", shape[0], shape[1], len(lt.Diags)-1, len(rots), rots)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math/big"
 	"sync"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/modmath"
 	"alchemist/internal/ring"
 )
@@ -50,24 +51,24 @@ func (p Parameters) K() int { return len(p.P) }
 // Validate checks structural consistency.
 func (p Parameters) Validate() error {
 	if p.LogN < 3 || p.LogN > 17 {
-		return fmt.Errorf("ckks: LogN=%d out of range [3,17]", p.LogN)
+		return fmt.Errorf("ckks: LogN=%d out of range [3,17]: %w", p.LogN, errs.ErrBadConfig)
 	}
 	if len(p.Q) == 0 {
-		return fmt.Errorf("ckks: empty modulus chain")
+		return fmt.Errorf("ckks: empty modulus chain: %w", errs.ErrBadConfig)
 	}
 	if p.Dnum < 1 || p.Dnum > len(p.Q) {
-		return fmt.Errorf("ckks: Dnum=%d out of range [1,%d]", p.Dnum, len(p.Q))
+		return fmt.Errorf("ckks: Dnum=%d out of range [1,%d]: %w", p.Dnum, len(p.Q), errs.ErrBadConfig)
 	}
 	if len(p.P) == 0 {
-		return fmt.Errorf("ckks: need at least one special modulus")
+		return fmt.Errorf("ckks: need at least one special modulus: %w", errs.ErrBadConfig)
 	}
 	if p.Scale <= 0 {
-		return fmt.Errorf("ckks: scale must be positive")
+		return fmt.Errorf("ckks: scale must be positive: %w", errs.ErrBadConfig)
 	}
 	seen := map[uint64]bool{}
 	for _, q := range append(append([]uint64{}, p.Q...), p.P...) {
 		if seen[q] {
-			return fmt.Errorf("ckks: duplicate modulus %d", q)
+			return fmt.Errorf("ckks: duplicate modulus %d: %w", q, errs.ErrBadConfig)
 		}
 		seen[q] = true
 	}
@@ -84,7 +85,7 @@ func (p Parameters) Validate() error {
 			dg.Mul(dg, new(big.Float).SetUint64(p.Q[i]))
 		}
 		if pProd.Cmp(dg) < 0 {
-			return fmt.Errorf("ckks: special modulus P is smaller than digit group %d; increase K or Dnum", g)
+			return fmt.Errorf("ckks: special modulus P is smaller than digit group %d; increase K or Dnum: %w", g, errs.ErrBadConfig)
 		}
 	}
 	return nil
@@ -177,9 +178,11 @@ type Context struct {
 
 	// ctPool recycles Ciphertext wrappers (the polynomials themselves go
 	// through the ring arenas); see Recycle in evaluator.go. decPool does
-	// the same for Decomposition shells (hoisted.go).
-	ctPool  sync.Pool
-	decPool sync.Pool
+	// the same for Decomposition shells (hoisted.go), babyPool for the
+	// baby-step slices of the linear transform (linalg.go).
+	ctPool   sync.Pool
+	decPool  sync.Pool
+	babyPool sync.Pool
 }
 
 // NewContext instantiates rings and precomputations for params.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/ring"
 )
 
@@ -33,13 +34,13 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes into ct.
 func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	if len(data) < 16 {
-		return fmt.Errorf("ckks: ciphertext header truncated")
+		return fmt.Errorf("ckks: ciphertext header truncated: %w", errs.ErrBadConfig)
 	}
 	ct.Level = int(binary.LittleEndian.Uint32(data[0:]))
 	ct.Scale = math.Float64frombits(binary.LittleEndian.Uint64(data[4:]))
 	bLen := int(binary.LittleEndian.Uint32(data[12:]))
 	if bLen < 0 || 16+bLen > len(data) {
-		return fmt.Errorf("ckks: ciphertext B length out of range")
+		return fmt.Errorf("ckks: ciphertext B length out of range: %w", errs.ErrBadConfig)
 	}
 	ct.B = new(ring.Poly)
 	if err := ct.B.UnmarshalBinary(data[16 : 16+bLen]); err != nil {
@@ -50,11 +51,11 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if ct.Level != ct.B.Level() || ct.Level != ct.A.Level() {
-		return fmt.Errorf("ckks: level %d disagrees with poly channels (%d, %d)",
-			ct.Level, ct.B.Level(), ct.A.Level())
+		return fmt.Errorf("ckks: level %d disagrees with poly channels (%d, %d): %w",
+			ct.Level, ct.B.Level(), ct.A.Level(), errs.ErrBadConfig)
 	}
 	if ct.Scale <= 0 || math.IsNaN(ct.Scale) || math.IsInf(ct.Scale, 0) {
-		return fmt.Errorf("ckks: implausible scale %v", ct.Scale)
+		return fmt.Errorf("ckks: implausible scale %v: %w", ct.Scale, errs.ErrBadConfig)
 	}
 	return nil
 }

@@ -27,7 +27,10 @@ var (
 	ErrGraphCycle = errors.New("workload graph is not a forward-ordered DAG")
 
 	// ErrBadConfig marks an invalid hardware configuration or a structurally
-	// malformed op (empty shape, missing Bconv/DecompPolyMult parameters).
+	// malformed op (empty shape, missing Bconv/DecompPolyMult parameters). The
+	// CKKS evaluator also wraps it around invalid parameters, malformed
+	// inputs and missing evaluation keys (a rotation key absent from the
+	// key set, say).
 	ErrBadConfig = errors.New("invalid configuration")
 
 	// ErrIllegalStream marks a compiled per-unit Meta-OP program that

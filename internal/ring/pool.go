@@ -201,12 +201,14 @@ func (r *Ring) Borrow(level int) *Poly {
 		q.released = false
 		if poolDebug.Load() {
 			q.borrowPC, _, _, _ = runtime.Caller(1)
+			r.debugLive.Add(1)
 		}
 		return q
 	}
 	q := r.NewPoly(level)
 	if poolDebug.Load() {
 		q.borrowPC, _, _, _ = runtime.Caller(1)
+		r.debugLive.Add(1)
 	}
 	return q
 }
@@ -246,10 +248,17 @@ func (r *Ring) Release(p *Poly) {
 				c[j] = poolPoison
 			}
 		}
+		r.debugLive.Add(-1)
 	}
 	p.released = true
 	r.pools()[p.Level()].pool.Put(p)
 }
+
+// DebugLiveBorrows reports the Borrows not yet matched by a Release, counting
+// only calls made under SetPoolDebug. A region run entirely under debug
+// leaves it where it started iff every poly it borrowed went back, which is
+// how tests show that an error path holds no arena memory.
+func (r *Ring) DebugLiveBorrows() int64 { return r.debugLive.Load() }
 
 // Scratch returns a single degree-N channel buffer from the ring's raw
 // arena (arbitrary contents; pair with ReleaseScratch).

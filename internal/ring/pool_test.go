@@ -239,3 +239,20 @@ func TestCloseBeforeAnyParallelUse(t *testing.T) {
 	p := r.Borrow(0)
 	r.Release(p)
 }
+
+func TestDebugLiveBorrowsBalances(t *testing.T) {
+	SetPoolDebug(true)
+	defer SetPoolDebug(false)
+	r := poolRing(t)
+	base := r.DebugLiveBorrows()
+	a := r.Borrow(1)
+	b := r.BorrowZero(0)
+	if got := r.DebugLiveBorrows() - base; got != 2 {
+		t.Fatalf("%d live borrows after two Borrows, want 2", got)
+	}
+	r.Release(a)
+	r.Release(b)
+	if got := r.DebugLiveBorrows() - base; got != 0 {
+		t.Fatalf("%d live borrows after releasing both, want 0", got)
+	}
+}

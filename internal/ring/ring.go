@@ -30,6 +30,9 @@ type Ring struct {
 	pool      workerPool
 	polyPools atomic.Pointer[[]*polyPool]
 	buf       BufPool
+	// debugLive counts Borrows minus Releases made under SetPoolDebug
+	// (see DebugLiveBorrows).
+	debugLive atomic.Int64
 
 	// permCache maps Galois element k → NTT-domain index permutation
 	// (automorphism.go); an evaluation reuses a small, fixed key set.
