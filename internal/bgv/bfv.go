@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/ring"
 )
 
@@ -47,9 +48,7 @@ func (e *Encryptor) EncryptBFV(pt *ring.Poly, level int) *BFVCiphertext {
 // DecryptBFV recovers the slots: per coefficient, ⌈t·(B+A·s)/Q⌋ mod t.
 func (d *Decryptor) DecryptBFV(enc *Encoder, ct *BFVCiphertext) []uint64 {
 	ctx := d.ctx
-	x := ctx.RQ.NewPoly(ct.Level)
-	ctx.RQ.MulPoly(ct.Level, ct.A, d.sk.Q, x)
-	ctx.RQ.Add(ct.Level, x, ct.B, x)
+	x := ctx.Decrypt(d.sk, ct.Level, ct.B, ct.A)
 
 	q := ctx.RQ.Modulus(ct.Level)
 	t := new(big.Int).SetUint64(ctx.Params.T)
@@ -113,7 +112,7 @@ func (ev *Evaluator) MulPlainBFV(ct *BFVCiphertext, pt *ring.Poly) *BFVCiphertex
 // hybrid key switch.
 func (ev *Evaluator) MulBFV(a, b *BFVCiphertext) (*BFVCiphertext, error) {
 	if ev.rlk == nil {
-		return nil, fmt.Errorf("bgv: relinearization key missing")
+		return nil, fmt.Errorf("bgv: relinearization key missing: %w", errs.ErrBadConfig)
 	}
 	ctx := ev.ctx
 	level := a.Level
@@ -144,9 +143,11 @@ func (ev *Evaluator) MulBFV(a, b *BFVCiphertext) (*BFVCiphertext, error) {
 	}
 	p0, p1, p2 := scale(d0), scale(d1), scale(d2)
 
-	ksB, ksA := ev.keySwitch(level, p2, ev.rlk)
+	ksB, ksA := ctx.KeySwitch(level, p2, ev.rlk)
 	ctx.RQ.Add(level, p0, ksB, p0)
 	ctx.RQ.Add(level, p1, ksA, p1)
+	ctx.RQ.Release(ksB)
+	ctx.RQ.Release(ksA)
 	return &BFVCiphertext{B: p0, A: p1, Level: level}, nil
 }
 

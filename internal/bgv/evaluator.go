@@ -3,9 +3,10 @@ package bgv
 import (
 	"fmt"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/modmath"
-	"alchemist/internal/prng"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // Ciphertext is a BGV ciphertext (B, A) with decryption (B + A·s) mod t.
@@ -15,33 +16,17 @@ type Ciphertext struct {
 }
 
 // Encryptor encrypts under a public key.
-type Encryptor struct {
-	ctx *Context
-	pk  *PublicKey
-	rng prng.Source
-}
+type Encryptor struct{ enc *rlwe.Encryptor }
 
 // NewEncryptor returns an encryptor.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
-	return &Encryptor{ctx: ctx, pk: pk, rng: prng.New(seed)}
+	return &Encryptor{rlwe.NewEncryptor(ctx.Context, pk, seed)}
 }
 
 // Encrypt encrypts a plaintext polynomial at the given level:
 // (u·pk.B + t·e0 + m, u·pk.A + t·e1).
 func (e *Encryptor) Encrypt(pt *ring.Poly, level int) *Ciphertext {
-	ctx := e.ctx
-	kg := &KeyGenerator{ctx: ctx, rng: e.rng}
-	n := ctx.Params.N()
-	u := setSigned(ctx.RQ, level, kg.signedTernary(n), 1)
-	e0 := setSigned(ctx.RQ, level, kg.gaussian(n), ctx.Params.T)
-	e1 := setSigned(ctx.RQ, level, kg.gaussian(n), ctx.Params.T)
-	b := ctx.RQ.NewPoly(level)
-	a := ctx.RQ.NewPoly(level)
-	ctx.RQ.MulPoly(level, e.pk.B, u, b)
-	ctx.RQ.MulPoly(level, e.pk.A, u, a)
-	ctx.RQ.Add(level, b, e0, b)
-	ctx.RQ.Add(level, b, pt, b)
-	ctx.RQ.Add(level, a, e1, a)
+	b, a := e.enc.Encrypt(pt, level)
 	return &Ciphertext{B: b, A: a, Level: level}
 }
 
@@ -59,10 +44,7 @@ func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
 // DecryptPoly returns B + A·s at ct's level (reduce mod t to read the
 // message; Encoder.Decode does both).
 func (d *Decryptor) DecryptPoly(ct *Ciphertext) *ring.Poly {
-	out := d.ctx.RQ.NewPoly(ct.Level)
-	d.ctx.RQ.MulPoly(ct.Level, ct.A, d.sk.Q, out)
-	d.ctx.RQ.Add(ct.Level, out, ct.B, out)
-	return out
+	return d.ctx.Decrypt(d.sk, ct.Level, ct.B, ct.A)
 }
 
 // Evaluator performs homomorphic operations.
@@ -114,139 +96,31 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *ring.Poly) *Ciphertext {
 // m_a·m_b mod t, exactly.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if ev.rlk == nil {
-		return nil, fmt.Errorf("bgv: relinearization key missing")
+		return nil, fmt.Errorf("bgv: relinearization key missing: %w", errs.ErrBadConfig)
 	}
-	ctx := ev.ctx
-	rq := ctx.RQ
+	rq := ev.ctx.RQ
 	level := minLevel(a, b)
-
-	// Tensor in the NTT domain; scratch from the ring arena (d0/d1 escape as
-	// the result and are left for the GC or a later Release by the caller).
-	b1 := rq.Borrow(level)
-	a1 := rq.Borrow(level)
-	b2 := rq.Borrow(level)
-	a2 := rq.Borrow(level)
-	rq.CopyLevel(level, a.B, b1)
-	rq.CopyLevel(level, a.A, a1)
-	rq.CopyLevel(level, b.B, b2)
-	rq.CopyLevel(level, b.A, a2)
-	rq.NTT(level, b1)
-	rq.NTT(level, a1)
-	rq.NTT(level, b2)
-	rq.NTT(level, a2)
-
-	d0 := rq.Borrow(level)
-	d1 := rq.Borrow(level)
-	d2 := rq.Borrow(level)
-	rq.MulCoeffs(level, b1, b2, d0)
-	rq.MulCoeffs(level, b1, a2, d1)
-	rq.MulCoeffsAndAdd(level, a1, b2, d1)
-	rq.MulCoeffs(level, a1, a2, d2)
-	rq.Release(b1)
-	rq.Release(a1)
-	rq.Release(b2)
-	rq.Release(a2)
-	rq.INTT(level, d0)
-	rq.INTT(level, d1)
-	rq.INTT(level, d2)
-
-	ksB, ksA := ev.KeySwitchFused(level, d2, ev.rlk)
-	rq.Release(d2)
-	rq.Add(level, d0, ksB, d0)
-	rq.Add(level, d1, ksA, d1)
-	rq.Release(ksB)
-	rq.Release(ksA)
-	return &Ciphertext{B: d0, A: d1, Level: level}, nil //alchemist:owns the product ciphertext wraps the pooled limbs d0/d1
+	out := &Ciphertext{B: rq.Borrow(level), A: rq.Borrow(level), Level: level} //alchemist:owns the product ciphertext wraps the pooled limbs; the GC or a later Release by the caller takes them
+	ev.ctx.MulRelin(level, a.B, a.A, b.B, b.A, ev.rlk, out.B, out.A)
+	return out, nil
 }
 
-// keySwitch mirrors the CKKS hybrid key switch but uses the exact centered
-// ModDown so the division by P (≡ 1 mod t) leaves the plaintext untouched.
-// It is the eager reference path: the live evaluator runs KeySwitchFused
-// (hoisted.go), whose bit-identity to this function the fused-vs-eager
-// tests pin.
-func (ev *Evaluator) keySwitch(level int, c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	ctx := ev.ctx
-	rq, rp := ctx.RQ, ctx.RP
-	levelP := rp.MaxLevel()
-	groups := ctx.groupsAt(level)
-
-	accBQ := rq.BorrowZero(level)
-	accAQ := rq.BorrowZero(level)
-	accBP := rp.BorrowZero(levelP)
-	accAP := rp.BorrowZero(levelP)
-	dQ := rq.Borrow(level)
-	dP := rp.Borrow(levelP)
-
-	for g := 0; g < groups; g++ {
-		lo, hi := ctx.groupRange(g)
-		if hi > level+1 {
-			hi = level + 1
-		}
-		digits := c.Coeffs[lo:hi]
-		srcLevel := hi - lo - 1
-		ctx.groupToQ[g].ConvertN(srcLevel, digits, dQ.Coeffs, level+1)
-		ctx.groupToP[g].Convert(srcLevel, digits, dP.Coeffs)
-		rq.NTT(level, dQ)
-		rp.NTT(levelP, dP)
-		rq.MulCoeffsAndAdd(level, dQ, swk.BQ[g], accBQ)
-		rq.MulCoeffsAndAdd(level, dQ, swk.AQ[g], accAQ)
-		rp.MulCoeffsAndAdd(levelP, dP, swk.BP[g], accBP)
-		rp.MulCoeffsAndAdd(levelP, dP, swk.AP[g], accAP)
+// ApplyGalois applies the automorphism φ_k homomorphically: the result
+// decrypts to φ_k(m) mod t, exactly. gk must be the GenGaloisKey(k, ·) key.
+// The hoisted order (decompose ct.A, then permute inside the accumulation)
+// never materializes φ_k(A)'s digits.
+func (ev *Evaluator) ApplyGalois(ct *Ciphertext, k uint64, gk *SwitchingKey) (*Ciphertext, error) {
+	if gk == nil {
+		return nil, fmt.Errorf("bgv: galois key missing: %w", errs.ErrBadConfig)
 	}
-	rq.INTT(level, accBQ)
-	rq.INTT(level, accAQ)
-	rp.INTT(levelP, accBP)
-	rp.INTT(levelP, accAP)
-
-	outB := rq.Borrow(level)
-	outA := rq.Borrow(level)
-	ev.modDownT(level, accBQ, accBP, outB)
-	ev.modDownT(level, accAQ, accAP, outA)
-	rq.Release(accBQ)
-	rq.Release(accAQ)
-	rp.Release(accBP)
-	rp.Release(accAP)
-	rq.Release(dQ)
-	rp.Release(dP)
-	return outB, outA //alchemist:owns the keyswitch halves are the caller's to release
+	b, a := ev.ctx.ApplyGalois(ct.Level, ct.B, ct.A, k, gk)
+	return &Ciphertext{B: b, A: a, Level: ct.Level}, nil
 }
 
-// modDownT divides an accumulator over Q·P by P with the BGV t-correction:
-// the subtracted representative δ satisfies δ ≡ x (mod P) and δ ≡ 0 (mod t)
-// (δ = centered([x]_P) + P·w, w ≡ -[x]_P (mod t)), so the result stays
-// ≡ x (mod t) while noise only grows by ≤ t.
-func (ev *Evaluator) modDownT(level int, aQ, aP, out *ring.Poly) {
-	ctx := ev.ctx
-	n := ctx.Params.N()
-	t := ctx.Params.T
-	// Exact centered conversion into [t, q_0..q_level]. The channel backing
-	// (plus the w correction vector) comes from one scratch buffer — the
-	// [t|Q] shape fits neither ring's polynomial pools — so only the small
-	// header slice is allocated.
-	flat := ctx.scratch.Get((level + 3) * n)
-	conv := make([][]uint64, level+2)
-	for i := range conv {
-		conv[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	w := flat[(level+2)*n:]
-	ctx.pToQT.ConvertExact(len(ctx.Params.P)-1, aP.Coeffs, conv, level+2, true)
-	convT := conv[0]
-	for k := 0; k < n; k++ {
-		w[k] = modmath.NegMod(convT[k], t) // w ≡ -[x]_P (mod t); P ≡ 1 (mod t)
-	}
-	for i := 0; i <= level; i++ {
-		qi := ctx.RQ.Moduli[i]
-		pq := ctx.pModQ[i]
-		inv := ctx.pInvQ[i]
-		invS := modmath.ShoupPrecomp(inv, qi)
-		src, ci, dst := aQ.Coeffs[i], conv[i+1], out.Coeffs[i]
-		for k := 0; k < n; k++ {
-			delta := modmath.AddMod(ci[k], modmath.MulMod(w[k], pq, qi), qi)
-			d := modmath.SubMod(src[k], delta, qi)
-			dst[k] = modmath.MulModShoup(d, inv, invS, qi)
-		}
-	}
-	ctx.scratch.Put(flat)
+// RotateRows applies the row rotation by r steps (Galois element 5^r), the
+// packed-slot permutation BGV inherits from the power-of-two cyclotomic.
+func (ev *Evaluator) RotateRows(ct *Ciphertext, r int, gk *SwitchingKey) (*Ciphertext, error) {
+	return ev.ApplyGalois(ct, ev.ctx.RQ.GaloisElementForRotation(r), gk)
 }
 
 // Rescale performs the BGV modulus switch: divides the ciphertext by its
@@ -254,7 +128,7 @@ func (ev *Evaluator) modDownT(level int, aQ, aP, out *ring.Poly) {
 // and ≡ 0 (mod t), shrinking noise by ≈ q_l without touching the plaintext.
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level == 0 {
-		return nil, fmt.Errorf("bgv: no level left to rescale")
+		return nil, fmt.Errorf("bgv: no level left to rescale: %w", errs.ErrBadConfig)
 	}
 	ctx := ev.ctx
 	level := ct.Level

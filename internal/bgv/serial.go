@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"alchemist/internal/errs"
 	"alchemist/internal/ring"
 )
 
@@ -31,12 +32,12 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes into ct.
 func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
-		return fmt.Errorf("bgv: ciphertext header truncated")
+		return fmt.Errorf("bgv: ciphertext header truncated: %w", errs.ErrBadConfig)
 	}
 	ct.Level = int(binary.LittleEndian.Uint32(data[0:]))
 	bLen := int(binary.LittleEndian.Uint32(data[4:]))
 	if bLen < 0 || 8+bLen > len(data) {
-		return fmt.Errorf("bgv: ciphertext B length out of range")
+		return fmt.Errorf("bgv: ciphertext B length out of range: %w", errs.ErrBadConfig)
 	}
 	ct.B = new(ring.Poly)
 	if err := ct.B.UnmarshalBinary(data[8 : 8+bLen]); err != nil {
@@ -47,7 +48,7 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if ct.Level != ct.B.Level() || ct.Level != ct.A.Level() {
-		return fmt.Errorf("bgv: level disagrees with poly channels")
+		return fmt.Errorf("bgv: level disagrees with poly channels: %w", errs.ErrBadConfig)
 	}
 	return nil
 }

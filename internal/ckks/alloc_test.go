@@ -96,15 +96,15 @@ func TestRotateAllocFree(t *testing.T) {
 func TestKeySwitchFusedAllocFree(t *testing.T) {
 	ctx, ev, ct1, _ := allocEvaluator(t)
 	level := ct1.Level
-	b, a := ev.KeySwitchFused(level, ct1.A, ev.eks.Rlk) // warm
+	b, a := ctx.KeySwitch(level, ct1.A, ev.eks.Rlk) // warm
 	ctx.RQ.Release(b)
 	ctx.RQ.Release(a)
 	if n := testing.AllocsPerRun(20, func() {
-		b, a := ev.KeySwitchFused(level, ct1.A, ev.eks.Rlk)
+		b, a := ctx.KeySwitch(level, ct1.A, ev.eks.Rlk)
 		ctx.RQ.Release(b)
 		ctx.RQ.Release(a)
 	}); n != 0 {
-		t.Errorf("warm KeySwitchFused allocates %.1f per op, want 0", n)
+		t.Errorf("warm KeySwitch allocates %.1f per op, want 0", n)
 	}
 }
 

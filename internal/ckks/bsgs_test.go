@@ -296,7 +296,7 @@ func (fx *bsgsFixture) evaluator(steps []int) *Evaluator {
 	for _, s := range steps {
 		k := fx.ctx.RQ.GaloisElementForRotation(s)
 		if fx.keys[k] == nil {
-			fx.keys[k] = fx.kg.GenRotationKey(fx.sk, k)
+			fx.keys[k] = fx.kg.GenGaloisKey(k, fx.sk)
 		}
 		eks.Rot[k] = fx.keys[k]
 	}

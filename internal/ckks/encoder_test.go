@@ -230,7 +230,7 @@ func centeredCoeffOracle(ctx *Context, p *ring.Poly, j, level int) float64 {
 func TestCenteredCoeffMatchesCRTOracle(t *testing.T) {
 	ctx := smallContext(t, 6)
 	enc := NewEncoder(ctx)
-	kg := NewKeyGenerator(ctx, 41)
+	sampler := ring.NewSampler(ctx.RQ, 41)
 	n := ctx.Params.N()
 	for level := 0; level <= ctx.Params.MaxLevel(); level++ {
 		encoded, err := enc.Encode(randomSlots(ctx.Params.Slots(), 42, 3.0), level, ctx.Params.Scale)
@@ -248,10 +248,12 @@ func TestCenteredCoeffMatchesCRTOracle(t *testing.T) {
 				edges.Coeffs[i][j] = new(big.Int).Mod(v, new(big.Int).SetUint64(ctx.RQ.Moduli[i])).Uint64()
 			}
 		}
+		uniform := ctx.RQ.NewPoly(level)
+		sampler.Uniform(level, uniform)
 		var s crtScratch
 		for name, p := range map[string]*ring.Poly{
 			"encoded": encoded,
-			"uniform": kg.uniformPoly(ctx.RQ, level),
+			"uniform": uniform,
 			"edges":   edges,
 		} {
 			for j := 0; j < n; j++ {

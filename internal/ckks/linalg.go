@@ -8,6 +8,7 @@ import (
 
 	"alchemist/internal/errs"
 	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // LinearTransform is a slot-space matrix encoded by its generalized
@@ -395,15 +396,15 @@ func (ev *Evaluator) linearTransformBSGS(ct *Ciphertext, pl *ltPlan, outB, outA 
 
 		// ρ_g(c0, c1), scaled by P, added into the output accumulators.
 		key := ev.eks.Rot[g.k]
-		dec := ev.DecomposeOnce(level, c1)
+		dec := ctx.DecomposeOnce(level, c1)
 		rq.KSAccumulate(level, dec.DQ[:groups], key.BQ[:groups], key.AQ[:groups], g.k, true, inBQ, inAQ)
 		rp.KSAccumulate(levelP, dec.DP[:groups], key.BP[:groups], key.AP[:groups], g.k, true, inBP, inAP)
-		ev.ReleaseDecomposition(dec)
+		ctx.ReleaseDecomposition(dec)
 		rq.Add(level, accBQ, inBQ, accBQ)
 		rq.Add(level, accAQ, inAQ, accAQ)
 		rp.Add(levelP, accBP, inBP, accBP)
 		rp.Add(levelP, accAP, inAP, accAP)
-		ctx.nttTimesP(level, c0, c0)
+		ctx.NTTTimesP(level, c0, c0)
 		rq.AutomorphismNTT(level, c0, g.k, c1)
 		rq.Add(level, accBQ, c1, accBQ)
 	}
@@ -463,17 +464,17 @@ func (ev *Evaluator) babySteps(ct *Ciphertext, pl *ltPlan) *[]babyCt {
 
 	// P·B in the NTT domain, permuted per baby step below.
 	bP := rq.Borrow(level)
-	ctx.nttTimesP(level, ct.B, bP)
-	var dec *Decomposition
+	ctx.NTTTimesP(level, ct.B, bP)
+	var dec *rlwe.Decomposition
 	if len(pl.babies) > 1 || pl.babies[0].step != 0 {
-		dec = ev.DecomposeOnce(level, ct.A)
+		dec = ctx.DecomposeOnce(level, ct.A)
 	}
 	for _, s := range pl.babies {
 		bq := rq.Borrow(level)
 		aq := rq.Borrow(level)
 		if s.step == 0 {
 			rq.CopyLevel(level, bP, bq)
-			ctx.nttTimesP(level, ct.A, aq)
+			ctx.NTTTimesP(level, ct.A, aq)
 			*babies = append(*babies, babyCt{bq: bq, aq: aq}) //alchemist:owns the baby steps own their halves; releaseBabySteps frees them
 			continue
 		}
@@ -488,7 +489,7 @@ func (ev *Evaluator) babySteps(ct *Ciphertext, pl *ltPlan) *[]babyCt {
 		rq.Release(rot)
 		*babies = append(*babies, babyCt{bq: bq, aq: aq, bp: bp, ap: ap}) //alchemist:owns the baby steps own their halves; releaseBabySteps frees them
 	}
-	ev.ReleaseDecomposition(dec)
+	ctx.ReleaseDecomposition(dec)
 	rq.Release(bP)
 	return babies
 }
@@ -505,17 +506,6 @@ func (ev *Evaluator) releaseBabySteps(babies *[]babyCt) {
 	}
 	*babies = (*babies)[:0]
 	ctx.babyPool.Put(babies)
-}
-
-// nttTimesP sets out = NTT(a)·P over Q at levels 0..level (a in the
-// coefficient domain; out may alias a).
-func (ctx *Context) nttTimesP(level int, a, out *ring.Poly) {
-	rq := ctx.RQ
-	rq.CopyLevel(level, a, out)
-	rq.NTT(level, out)
-	for i := 0; i <= level; i++ {
-		rq.SubRings[i].MulScalar(out.Coeffs[i], ctx.pModQ[i], out.Coeffs[i])
-	}
 }
 
 // InnerSum folds the first n slots (n a power of two) so that slot 0 holds

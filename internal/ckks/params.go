@@ -10,12 +10,11 @@ package ckks
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"sync"
 
 	"alchemist/internal/errs"
 	"alchemist/internal/modmath"
-	"alchemist/internal/ring"
+	"alchemist/internal/rlwe"
 )
 
 // Parameters describes a CKKS instance.
@@ -48,47 +47,22 @@ func (p Parameters) Alpha() int {
 // K returns the number of special moduli.
 func (p Parameters) K() int { return len(p.P) }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency: the shared hybrid-keyswitch
+// basis rules (rlwe.Parameters.Validate) plus a positive scale.
 func (p Parameters) Validate() error {
-	if p.LogN < 3 || p.LogN > 17 {
-		return fmt.Errorf("ckks: LogN=%d out of range [3,17]: %w", p.LogN, errs.ErrBadConfig)
-	}
-	if len(p.Q) == 0 {
-		return fmt.Errorf("ckks: empty modulus chain: %w", errs.ErrBadConfig)
-	}
-	if p.Dnum < 1 || p.Dnum > len(p.Q) {
-		return fmt.Errorf("ckks: Dnum=%d out of range [1,%d]: %w", p.Dnum, len(p.Q), errs.ErrBadConfig)
-	}
-	if len(p.P) == 0 {
-		return fmt.Errorf("ckks: need at least one special modulus: %w", errs.ErrBadConfig)
+	if err := p.rlweParams().Validate(); err != nil {
+		return err
 	}
 	if p.Scale <= 0 {
 		return fmt.Errorf("ckks: scale must be positive: %w", errs.ErrBadConfig)
 	}
-	seen := map[uint64]bool{}
-	for _, q := range append(append([]uint64{}, p.Q...), p.P...) {
-		if seen[q] {
-			return fmt.Errorf("ckks: duplicate modulus %d: %w", q, errs.ErrBadConfig)
-		}
-		seen[q] = true
-	}
-	// Hybrid key switching needs P ≥ every digit-group product D_g, or the
-	// d_g·e/P noise term swamps the plaintext.
-	pProd := big.NewFloat(1)
-	for _, pi := range p.P {
-		pProd.Mul(pProd, new(big.Float).SetUint64(pi))
-	}
-	alpha := p.Alpha()
-	for g := 0; g*alpha < len(p.Q); g++ {
-		dg := big.NewFloat(1)
-		for i := g * alpha; i < (g+1)*alpha && i < len(p.Q); i++ {
-			dg.Mul(dg, new(big.Float).SetUint64(p.Q[i]))
-		}
-		if pProd.Cmp(dg) < 0 {
-			return fmt.Errorf("ckks: special modulus P is smaller than digit group %d; increase K or Dnum: %w", g, errs.ErrBadConfig)
-		}
-	}
 	return nil
+}
+
+// rlweParams returns the scheme-independent part of p (no plaintext modulus:
+// unit error scale and the exact ModDown).
+func (p Parameters) rlweParams() rlwe.Parameters {
+	return rlwe.Parameters{LogN: p.LogN, Q: p.Q, P: p.P, Dnum: p.Dnum, Sigma: p.Sigma}
 }
 
 // GenParams generates a parameter set with a q0 of firstBits bits, `levels`
@@ -155,33 +129,17 @@ func PaperParams() Parameters {
 	return Parameters{LogN: 16, Q: q, P: p, Scale: math.Exp2(36), Dnum: 4, Sigma: 3.2}
 }
 
-// Context carries the instantiated rings and converters for a parameter set.
+// Context carries the instantiated rings and keyswitch precomputations
+// (the embedded rlwe.Context: RQ, RP, Ext, Dec, SetWorkers, …) for a
+// parameter set.
 type Context struct {
+	*rlwe.Context
 	Params Parameters
-	RQ     *ring.Ring // ring over Q
-	RP     *ring.Ring // ring over P
-	Ext    *ring.Extender
-
-	// Per-digit-group converters from the group's moduli to Q and to P —
-	// the eager reference path (KeySwitch).
-	groupToQ []*ring.BasisConverter
-	groupToP []*ring.BasisConverter
-
-	// Dec is the digit-batched dual-target decomposer the fused keyswitch
-	// runs on (same tables as groupToQ/groupToP, shared step-1 scaling).
-	Dec *ring.Decomposer
-
-	// pModQ[i] = P mod q_i: lifts a Q-only term into a Q ∪ P keyswitch
-	// accumulator as P·x, which the closing ModDown returns exactly
-	// (linalg.go).
-	pModQ []uint64
 
 	// ctPool recycles Ciphertext wrappers (the polynomials themselves go
-	// through the ring arenas); see Recycle in evaluator.go. decPool does
-	// the same for Decomposition shells (hoisted.go), babyPool for the
-	// baby-step slices of the linear transform (linalg.go).
+	// through the ring arenas); see Recycle in evaluator.go. babyPool does
+	// the same for the baby-step slices of the linear transform (linalg.go).
 	ctPool   sync.Pool
-	decPool  sync.Pool
 	babyPool sync.Pool
 }
 
@@ -190,90 +148,9 @@ func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	rq, err := ring.NewRing(params.N(), params.Q)
+	rc, err := rlwe.NewContext(params.rlweParams())
 	if err != nil {
 		return nil, err
 	}
-	rp, err := ring.NewRing(params.N(), params.P)
-	if err != nil {
-		return nil, err
-	}
-	ctx := &Context{Params: params, RQ: rq, RP: rp, Ext: ring.NewExtender(rq, rp)}
-	alpha := params.Alpha()
-	for g := 0; g < params.Dnum; g++ {
-		lo := g * alpha
-		if lo >= len(params.Q) {
-			break
-		}
-		hi := lo + alpha
-		if hi > len(params.Q) {
-			hi = len(params.Q)
-		}
-		src := params.Q[lo:hi]
-		toQ := ring.NewBasisConverter(src, params.Q)
-		toP := ring.NewBasisConverter(src, params.P)
-		// Digit conversions ride the main ring's scheduler so SetWorkers
-		// reaches the fused keyswitch's Bconv tiles too.
-		toQ.BindScheduler(rq)
-		toP.BindScheduler(rq)
-		ctx.groupToQ = append(ctx.groupToQ, toQ)
-		ctx.groupToP = append(ctx.groupToP, toP)
-	}
-	duals := make([]*ring.DualConverter, len(ctx.groupToQ))
-	for g := range duals {
-		dc, err := ring.NewDualConverter(ctx.groupToQ[g], ctx.groupToP[g], g*alpha)
-		if err != nil {
-			return nil, err
-		}
-		duals[g] = dc
-	}
-	ctx.Dec = ring.NewDecomposer(alpha, duals)
-	ctx.pModQ = make([]uint64, len(params.Q))
-	for i, qi := range params.Q {
-		sub := rq.SubRings[i]
-		acc := uint64(1)
-		for _, pj := range params.P {
-			acc = modmath.MulMod(acc, sub.ReduceWord(pj), qi)
-		}
-		ctx.pModQ[i] = acc
-	}
-	return ctx, nil
-}
-
-// SetWorkers fans the worker count out to every ring the context owns (RQ,
-// RP) — and with them the bound converters — so one call configures the
-// whole kernel suite an evaluation touches. 1 (the default) disables
-// parallelism. Safe to call concurrently with running evaluations; the
-// setting applies to subsequently submitted kernels.
-func (c *Context) SetWorkers(n int) {
-	c.RQ.SetWorkers(n)
-	c.RP.SetWorkers(n)
-}
-
-// Workers reports the configured worker count (minimum 1).
-func (c *Context) Workers() int { return c.RQ.Workers() }
-
-// Close tears down the resident worker pools of the context's rings (see
-// ring.Ring.Close); the context remains usable, falling back to serial
-// kernels until another parallel call respawns workers.
-func (c *Context) Close() {
-	c.RQ.Close()
-	c.RP.Close()
-}
-
-// GroupRange returns the modulus index range [lo, hi) of digit group g.
-func (c *Context) GroupRange(g int) (lo, hi int) {
-	alpha := c.Params.Alpha()
-	lo = g * alpha
-	hi = lo + alpha
-	if hi > len(c.Params.Q) {
-		hi = len(c.Params.Q)
-	}
-	return lo, hi
-}
-
-// GroupsAtLevel returns how many digit groups are active at the given level.
-func (c *Context) GroupsAtLevel(level int) int {
-	alpha := c.Params.Alpha()
-	return (level + alpha) / alpha // ceil((level+1)/alpha)
+	return &Context{Context: rc, Params: params}, nil
 }

@@ -3,6 +3,8 @@ package ckks
 import (
 	"math/cmplx"
 	"testing"
+
+	"alchemist/internal/ring"
 )
 
 type testHarness struct {
@@ -223,10 +225,9 @@ func TestKeySwitchContract(t *testing.T) {
 	swk := h.kg.GenSwitchingKey(sk2.Q, h.sk)
 
 	c := ctx.RQ.NewPoly(level)
-	sampler := NewKeyGenerator(ctx, 777)
-	c = sampler.uniformPoly(ctx.RQ, level)
+	ring.NewSampler(ctx.RQ, 777).Uniform(level, c)
 
-	ksB, ksA := h.ev.KeySwitch(level, c, swk)
+	ksB, ksA := ctx.KeySwitch(level, c, swk)
 	// got = B + A·s.
 	got := ctx.RQ.NewPoly(level)
 	ctx.RQ.MulPoly(level, ksA, h.sk.Q, got)
