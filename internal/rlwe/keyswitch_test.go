@@ -183,12 +183,14 @@ func TestKeySwitchFusedMatchesEagerEdgeModuli(t *testing.T) {
 // number of lazily accumulated terms.
 func TestKeySwitchFusedMatchesEagerAcrossDnum(t *testing.T) {
 	for _, md := range moddowns {
-		for _, dnum := range []int{1, 2, 3, 5} {
-			// K=4 special primes so P covers even the dnum=1 single-group
-			// product (~215 bits).
-			c := mustContext(t, chainParams(t, 8, 4, dnum, 4, 55, 40, 55, md.t))
-			checkFusedMatchesEager(t, c, 300+int64(dnum))
-		}
+		t.Run(md.name, func(t *testing.T) {
+			for _, dnum := range []int{1, 2, 3, 5} {
+				// K=4 special primes so P covers even the dnum=1
+				// single-group product (~215 bits).
+				c := mustContext(t, chainParams(t, 8, 4, dnum, 4, 55, 40, 55, md.t))
+				checkFusedMatchesEager(t, c, 300+int64(dnum))
+			}
+		})
 	}
 }
 
